@@ -8,20 +8,20 @@
 //! depends on the evolving per-class pool sizes, so appending even one row
 //! perturbs every subsequent draw — no incremental scheme can reproduce
 //! the stochastic trace without redoing it. The maintenance engine
-//! therefore fixes the candidate order to a **canonical sweep**: rows are
-//! considered in ascending row id, each exactly once, with the identical
-//! per-candidate mathematics (Eq. 2 density verdicts, Eq. 3 heterogeneous
-//! stop, Eq. 4–6 conflict restriction, one range query for the members).
-//! Every cover invariant of the stochastic algorithm holds unchanged —
-//! purity 1.0, pairwise non-overlap, exact partition into
+//! therefore feeds the same per-candidate step, `Sweep::decide` (Eq. 2
+//! density verdict, Eq. 3 heterogeneous stop, Eqs. 4–6 conflict-restricted
+//! diffusion), a **canonical order**: rows in ascending row id, each
+//! exactly once. Every cover invariant of the stochastic algorithm holds
+//! unchanged — purity 1.0, pairwise non-overlap, exact partition into
 //! balls ∪ noise — and the output is a *pure function of the row
 //! sequence*, which is what makes "incremental == rebuild" a meaningful,
-//! testable contract rather than an approximation.
+//! testable contract rather than an approximation. The canonical order
+//! granulates in squared Euclidean only, with both ablations off.
 //!
 //! # Prefix reuse
 //!
-//! Each sweep decision records an **influence radius**: the largest
-//! squared distance from the candidate any index query inspected
+//! Each step records its **influence radius**: the largest squared
+//! distance from the candidate any of its index queries inspected
 //! (`max(ρ-hood radius, diffusion bound)`, `∞` when fewer than ρ rows
 //! remained). A decision is provably unchanged by rows that are all
 //! strictly farther than its influence radius:
@@ -36,266 +36,78 @@
 //!   chosen bound or the member set.
 //!
 //! [`MaintainedModel::append`] finds the earliest decision whose influence
-//! ball contains any appended row (`d² ≤ influence²`, conservative), **replays**
-//! every decision before it verbatim — tombstone deletions, conflict-ball
-//! pushes, low-density marks, noise removals, no index queries — and
-//! resumes the live sweep from the following row. The always-available
-//! oracle is [`canonical_rd_gbg`] on the union dataset; the equivalence is
+//! ball contains any appended row (`d² ≤ influence`, conservative, in the
+//! index's own kernel arithmetic), **replays** every decision before it
+//! verbatim — tombstone deletions, conflict-ball pushes, low-density
+//! marks, noise removals, no index queries — and resumes the canonical
+//! sweep from the following row. The always-available oracle is
+//! [`canonical_rd_gbg`] on the union dataset; the equivalence is
 //! property-tested ball-for-ball across all exact backends in
 //! `tests/ingest_oracle.rs`.
 
-use crate::ball::GranularBall;
-use crate::conflict::BallConflictIndex;
-use crate::rdgbg::RdGbgModel;
-use gb_dataset::distance::sq_euclidean;
-use gb_dataset::index::{GranulationBackend, NeighborIndex, RangeBound};
+use super::{Decision, Sweep, Verdict};
+use crate::rdgbg::{RdGbgConfig, RdGbgModel};
+use gb_dataset::distance::Metric;
+use gb_dataset::index::GranulationBackend;
 use gb_dataset::Dataset;
 
-/// What one canonical-sweep candidate decision did (the replayable part).
-#[derive(Debug, Clone)]
-enum DecisionKind {
-    /// Candidate grew a diffusion ball (members were tombstoned, the ball
-    /// joined the conflict index).
-    Ball(GranularBall),
-    /// Candidate was routed to the low-density set `L` (still absorbable
-    /// by later balls, orphaned at the end if never absorbed).
-    LowDensity,
-    /// Candidate itself was detected as class noise and removed.
-    CandidateNoise,
-}
-
-/// One replayable decision of the canonical sweep.
-#[derive(Debug, Clone)]
-struct Decision {
-    /// Candidate row id (decisions are strictly ascending in `row`).
-    row: usize,
-    /// Squared influence radius: appended rows strictly farther than this
-    /// from the candidate cannot change the decision. `∞` when the
-    /// ρ-neighbourhood was not full.
-    influence_sq: f64,
-    /// The `h == 1` noisy nearest neighbour removed *before* diffusion.
-    noisy_neighbor: Option<usize>,
-    kind: DecisionKind,
-}
-
-/// Mutable sweep state shared by replay and the live sweep.
-struct SweepState {
-    index: Box<dyn NeighborIndex>,
-    low_density: Vec<bool>,
-    conflicts: BallConflictIndex,
-    noise: Vec<usize>,
-}
-
-/// Re-applies a prefix of decisions without any index queries: the exact
-/// tombstone deletions, conflict pushes, low-density marks, and noise
-/// removals the live sweep performed when the decisions were first made.
-fn replay(state: &mut SweepState, prefix: &[Decision]) {
-    for d in prefix {
-        if let Some(bad) = d.noisy_neighbor {
-            state.index.delete(bad);
-            state.noise.push(bad);
-        }
-        match &d.kind {
-            DecisionKind::Ball(ball) => {
-                for &m in &ball.members {
-                    state.index.delete(m);
-                }
-                state.conflicts.push(&ball.center, ball.radius);
-            }
-            DecisionKind::LowDensity => state.low_density[d.row] = true,
-            DecisionKind::CandidateNoise => {
-                state.index.delete(d.row);
-                state.noise.push(d.row);
-            }
-        }
+/// Re-applies a traced decision without any index query: the tombstones,
+/// conflict push, low-density mark and noise removals the step made when
+/// it was first taken (the canonical order always restricts overlap).
+fn replay(state: &mut Sweep<'_>, d: &Decision) {
+    if let Some(bad) = d.noisy_neighbor {
+        state.index.delete(bad);
+        state.noise.push(bad);
     }
-}
-
-/// The live canonical sweep from `start_row` (inclusive), appending one
-/// decision per alive, non-low-density row.
-fn live_sweep(
-    state: &mut SweepState,
-    data: &Dataset,
-    rho: usize,
-    start_row: usize,
-    trace: &mut Vec<Decision>,
-) {
-    for row in start_row..data.n_samples() {
-        if !state.index.is_alive(row) || state.low_density[row] {
-            continue;
-        }
-        let label = data.label(row);
-        let c = data.row(row);
-
-        // One ρ-sized k-NN query serves the nearest-neighbour check, the
-        // neighbourhood vote, and the verdict's influence radius. Same
-        // semantics as `super::detect_center`; inlined to expose the hood.
-        let hood = state.index.k_nearest_sq(c, rho, Some(row));
-        let mut influence_sq = if hood.len() < rho {
-            // The neighbourhood was not full: any appended row could join
-            // it, so the decision is influenced at any distance.
-            f64::INFINITY
-        } else {
-            hood.last().map_or(f64::INFINITY, |n| n.sq_dist)
-        };
-        let noisy_neighbor = match hood.first() {
-            None => {
-                // No other undivided sample: low-density, orphaned later.
-                state.low_density[row] = true;
-                trace.push(Decision {
-                    row,
-                    influence_sq,
-                    noisy_neighbor: None,
-                    kind: DecisionKind::LowDensity,
-                });
-                continue;
-            }
-            Some(&nn) if data.label(nn.row) == label => None,
-            Some(&nn) => {
-                let h = hood.iter().filter(|n| data.label(n.row) != label).count();
-                if h == hood.len() {
-                    // h == ρ: the candidate is class noise.
-                    state.index.delete(row);
-                    state.noise.push(row);
-                    trace.push(Decision {
-                        row,
-                        influence_sq,
-                        noisy_neighbor: None,
-                        kind: DecisionKind::CandidateNoise,
-                    });
-                    continue;
-                } else if h == 1 {
-                    Some(nn.row)
-                } else {
-                    // 1 < h < ρ: low-density candidate.
-                    state.low_density[row] = true;
-                    trace.push(Decision {
-                        row,
-                        influence_sq,
-                        noisy_neighbor: None,
-                        kind: DecisionKind::LowDensity,
-                    });
-                    continue;
-                }
-            }
-        };
-        if let Some(bad) = noisy_neighbor {
-            state.index.delete(bad);
-            state.noise.push(bad);
-        }
-
-        // Diffusion: identical bound selection and single range query as
-        // the stochastic engine (see `super::rd_gbg_with_progress`).
-        let d_het_sq = state
-            .index
-            .nearest_heterogeneous_sq(c, label, Some(row))
-            .map_or(f64::INFINITY, |h| h.sq_dist);
-        let rconf = state.conflicts.conflict_radius(c);
-        let (sq_bound, bound_kind) = if rconf * rconf < d_het_sq {
-            (rconf * rconf, RangeBound::Inclusive)
-        } else {
-            (d_het_sq, RangeBound::Strict)
-        };
-        if sq_bound.is_finite() {
-            influence_sq = influence_sq.max(sq_bound);
-        } else {
-            influence_sq = f64::INFINITY;
-        }
-        let hits = state.index.range_sq(c, sq_bound, bound_kind, Some(row));
-        let r_sq = hits.iter().fold(0.0f64, |m, h| m.max(h.sq_dist));
-        let r = r_sq.sqrt();
-
-        if r > 0.0 {
-            let mut members: Vec<usize> = hits.iter().map(|h| h.row).collect();
-            members.push(row);
-            members.sort_unstable();
-            for &m in &members {
-                debug_assert!(state.index.is_alive(m));
-                debug_assert_eq!(data.label(m), label, "diffusion must stay pure");
+    match &d.verdict {
+        Verdict::Ball { ball, .. } => {
+            for &m in &ball.members {
                 state.index.delete(m);
             }
-            let ball = GranularBall {
-                center: c.to_vec(),
-                radius: r,
-                label,
-                members,
-                center_row: Some(row),
-                purity: 1.0,
-            };
             state.conflicts.push(&ball.center, ball.radius);
-            trace.push(Decision {
-                row,
-                influence_sq,
-                noisy_neighbor,
-                kind: DecisionKind::Ball(ball),
-            });
-        } else {
-            state.low_density[row] = true;
-            trace.push(Decision {
-                row,
-                influence_sq,
-                noisy_neighbor,
-                kind: DecisionKind::LowDensity,
-            });
+        }
+        Verdict::LowDensity => state.low_density[d.row] = true,
+        Verdict::CandidateNoise => {
+            state.index.delete(d.row);
+            state.noise.push(d.row);
         }
     }
 }
 
-/// Runs replay + live sweep + orphan phase and assembles the model.
+/// Replays `prefix`, runs the canonical sweep over the rows after it, and
+/// assembles the model. Returns the model and the full decision trace.
 fn sweep(
     data: &Dataset,
     rho: usize,
     backend: GranulationBackend,
     prefix: &[Decision],
 ) -> (RdGbgModel, Vec<Decision>) {
-    assert!(rho >= 2, "density tolerance must be at least 2");
-    assert!(data.n_samples() > 0, "cannot granulate an empty dataset");
-    let mut state = SweepState {
-        index: backend.build(data),
-        low_density: vec![false; data.n_samples()],
-        conflicts: BallConflictIndex::new(data.n_features()),
-        noise: Vec::new(),
+    let config = RdGbgConfig {
+        density_tolerance: rho,
+        backend,
+        ..RdGbgConfig::default()
     };
-    let mut trace: Vec<Decision> = prefix.to_vec();
-    replay(&mut state, prefix);
+    let mut state = Sweep::new(data, &config);
+    for d in prefix {
+        replay(&mut state, d);
+    }
     let start_row = prefix.last().map_or(0, |d| d.row + 1);
-    live_sweep(&mut state, data, rho, start_row, &mut trace);
+    let mut trace = prefix.to_vec();
+    trace.extend((start_row..data.n_samples()).filter_map(|row| state.decide(row)));
 
-    // Orphan phase: surviving rows (all low-density or unreachable)
-    // become radius-0 balls, recomputed fresh on every build — they are
-    // not part of the trace because later appends can legitimately absorb
-    // them into new diffusion balls.
-    let mut balls: Vec<GranularBall> = trace
+    // Orphans are not part of the trace: they are recomputed on every
+    // build, because later appends can legitimately absorb them into new
+    // diffusion balls.
+    let balls = trace
         .iter()
-        .filter_map(|d| match &d.kind {
-            DecisionKind::Ball(b) => Some(b.clone()),
+        .filter_map(|d| match &d.verdict {
+            Verdict::Ball { ball, .. } => Some(ball.clone()),
             _ => None,
         })
         .collect();
-    let mut orphan_count = 0usize;
-    for row in (0..data.n_samples()).filter(|&r| state.index.is_alive(r)) {
-        balls.push(GranularBall {
-            center: data.row(row).to_vec(),
-            radius: 0.0,
-            label: data.label(row),
-            members: vec![row],
-            center_row: Some(row),
-            purity: 1.0,
-        });
-        orphan_count += 1;
-    }
-    let model = RdGbgModel {
-        balls,
-        noise: state.noise,
-        orphan_count,
-        // The canonical engine is a single deterministic pass; the field
-        // is kept for envelope compatibility with the stochastic engine.
-        iterations: 1,
-        // The maintenance engine granulates in the paper's metric only —
-        // its influence-radius algebra is squared-Euclidean.
-        metric: gb_dataset::distance::Metric::SqEuclidean,
-    };
-    (model, trace)
+    // The canonical engine is a single deterministic pass; `iterations` is
+    // kept for envelope compatibility with the stochastic engine.
+    (state.finish(balls, 1), trace)
 }
 
 /// Canonical-order RD-GBG over `data`: the **full-rebuild oracle** of the
@@ -420,22 +232,24 @@ impl MaintainedModel {
         }
 
         // Cut: earliest decision whose influence ball contains any new
-        // row (inclusive — exact ties conservatively invalidate).
+        // row (inclusive — exact ties conservatively invalidate). Distances
+        // come from the kernel the index answered the sweep in, so the
+        // boundary is tested in the same arithmetic.
         let new_rows: Vec<&[f64]> = features.chunks_exact(p).collect();
         let cut = self
             .trace
             .iter()
             .position(|d| {
-                d.influence_sq.is_infinite()
+                d.influence.is_infinite()
                     || new_rows
                         .iter()
-                        .any(|r| sq_euclidean(self.data.row(d.row), r) <= d.influence_sq)
+                        .any(|r| Metric::SqEuclidean.pair(self.data.row(d.row), r) <= d.influence)
             })
             .unwrap_or(self.trace.len());
 
         let reused_balls = self.trace[..cut]
             .iter()
-            .filter(|d| matches!(d.kind, DecisionKind::Ball(_)))
+            .filter(|d| matches!(d.verdict, Verdict::Ball { .. }))
             .count();
         let (model, trace) = sweep(&self.data, self.rho, self.backend, &self.trace[..cut]);
         let stats = AppendStats {

@@ -1,14 +1,20 @@
 //! RD-GBG — Restricted Diffusion-based Granular-Ball Generation
 //! (Algorithm 1 of the paper).
 //!
-//! The dataset starts as the *undivided set* `U`. Each global iteration
-//! draws one random candidate center per class still present in `U − L`
-//! (largest classes first), vets each candidate with the local-density rules
-//! (Eq. 2), grows a pure ball around every surviving center by diffusion
-//! stopped at the first heterogeneous sample (Eq. 3) and at the surface of
-//! every previously built ball (Eqs. 4–6), and removes the covered samples
-//! from `U`. Iteration ends when every undivided sample is low-density
-//! (`U ⊆ L`); the leftovers become radius-0 *orphan* balls.
+//! The dataset starts as the *undivided set* `U`. Every candidate center
+//! goes through one step, `Sweep::decide`: the local-density rules (Eq. 2)
+//! vet it, and a surviving center grows a pure ball by diffusion stopped at
+//! the first heterogeneous sample (Eq. 3) and at the surface of every
+//! previously built ball (Eqs. 4–6); the covered samples leave `U`. Rows
+//! still undivided when the candidates run out are all low-density
+//! (`U ⊆ L`) and become radius-0 *orphan* balls.
+//!
+//! Two candidate orders drive that one step:
+//! * [`rd_gbg`] — the paper's order: each global iteration draws one random
+//!   candidate per class still present in `U − L`, larger classes first;
+//! * [`incremental::canonical_rd_gbg`] — every row once, in ascending row
+//!   id, so the cover is a pure function of the row sequence and can be
+//!   maintained under appends. That order runs in squared Euclidean only.
 //!
 //! # Indexed hot path
 //!
@@ -17,13 +23,13 @@
 //! ρ-neighbourhood, nearest heterogeneous sample, diffusion range query)
 //! runs against a [`NeighborIndex`] chosen by
 //! [`RdGbgConfig::backend`], and rows leave `U` by **tombstone deletion**
-//! instead of list rewriting. Distances stay **squared** until a ball
-//! radius is finalized (one `sqrt` per ball, not one per pair). All
-//! backends are exact with identical `(distance, row)` tie-breaks, so the
-//! produced model is **bit-identical across backends and thread counts**
-//! (property-tested in `tests/granulation_props.rs`); candidate-selection
-//! RNG draws depend only on the evolving `U − L` sets, never on the
-//! backend.
+//! instead of list rewriting. Distances stay in kernel space (squared for
+//! L2) until a ball radius is finalized (one `sqrt` per ball, not one per
+//! pair). All backends are exact with identical `(distance, row)`
+//! tie-breaks, so the produced model is **bit-identical across backends
+//! and thread counts** (property-tested in `tests/granulation_props.rs`);
+//! candidate-selection RNG draws depend only on the evolving `U − L` sets,
+//! never on the backend.
 //!
 //! Properties guaranteed by construction (and property-tested):
 //! * every ball is pure (purity 1.0),
@@ -41,6 +47,7 @@ use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gb_obs::ProgressEvent;
 use rand::Rng;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Optional per-iteration progress sink (see [`rd_gbg_with_progress`]).
@@ -150,54 +157,271 @@ impl RdGbgModel {
     }
 }
 
-/// What the local-density detection (Eq. 2 rules) decided for a candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CenterVerdict {
-    /// Candidate passes; optional row to delete first (the `h == 1` noisy
-    /// nearest neighbour).
-    Accept { noisy_neighbor: Option<usize> },
-    /// Candidate itself is class noise (`h == ρ`): remove it from `U`.
-    CandidateIsNoise,
-    /// Candidate is a low-density sample (`1 < h < ρ`): move to `L`.
+/// What one candidate step decided.
+#[derive(Debug, Clone)]
+enum Verdict {
+    /// The candidate grew a diffusion ball. `conflict_bounded` is set when
+    /// the Eq.-4 conflict radius, not the heterogeneous stop, bounded it.
+    Ball {
+        ball: GranularBall,
+        conflict_bounded: bool,
+    },
+    /// The candidate joined the low-density set `L` (`1 < h < ρ`, no other
+    /// undivided row, or a diffusion that reached nothing). It stays in `U`
+    /// and later balls may still absorb it.
     LowDensity,
+    /// The candidate itself was class noise (`h == ρ`) and left `U`.
+    CandidateNoise,
 }
 
-/// Applies the paper's local-density center detection rules to a candidate,
-/// querying the alive set through the index. A single ρ-sized k-NN query
-/// serves both the nearest-neighbour check and the neighbourhood vote (its
-/// first hit *is* the nearest neighbour under the shared tie-break), so the
-/// hot path pays one index traversal per candidate instead of two.
-fn detect_center(
-    data: &Dataset,
-    index: &dyn NeighborIndex,
-    center_row: usize,
-    label: u32,
-    density_tolerance: usize,
-) -> CenterVerdict {
-    let c = data.row(center_row);
-    let hood = index.k_nearest_sq(c, density_tolerance, Some(center_row));
-    let Some(&nn) = hood.first() else {
-        // No other undivided sample: nothing to diffuse into. Treat as
-        // low-density; the orphan phase will pick it up.
-        return CenterVerdict::LowDensity;
-    };
-    if data.label(nn.row) == label {
-        return CenterVerdict::Accept {
-            noisy_neighbor: None,
+/// One RD-GBG step on one candidate center, as `Sweep::decide` took and
+/// applied it.
+#[derive(Debug, Clone)]
+struct Decision {
+    row: usize,
+    verdict: Verdict,
+    /// The `h == 1` noisy nearest neighbour, removed before diffusion.
+    noisy_neighbor: Option<usize>,
+    /// Kernel-space influence radius: the farthest distance from the
+    /// candidate that the step's index queries inspected. A row strictly
+    /// farther away cannot change the step. `∞` when the density query
+    /// came back short or the diffusion was unbounded.
+    influence: f64,
+}
+
+/// The state one RD-GBG run threads through its candidate steps. `U` lives
+/// in the index as its alive set; `L` is a mark beside it, since
+/// low-density rows stay in `U` and may still be absorbed by balls.
+struct Sweep<'a> {
+    /// The rows in kernel space: cosine runs on an L2-normalized copy.
+    data: Cow<'a, Dataset>,
+    config: RdGbgConfig,
+    /// The metric the index and the conflict index answer in.
+    kernel: Metric,
+    index: Box<dyn NeighborIndex>,
+    conflicts: BallConflictIndex,
+    low_density: Vec<bool>,
+    noise: Vec<usize>,
+}
+
+impl<'a> Sweep<'a> {
+    /// # Panics
+    /// Panics if `density_tolerance < 2` (the rules `h == 1`, `1 < h < ρ`,
+    /// `h == ρ` need ρ ≥ 2 to be distinguishable) or the dataset is empty.
+    fn new(data: &'a Dataset, config: &RdGbgConfig) -> Self {
+        assert!(
+            config.density_tolerance >= 2,
+            "density tolerance must be at least 2"
+        );
+        assert!(data.n_samples() > 0, "cannot granulate an empty dataset");
+        // Cosine granulates in chord geometry: an L2-normalized copy of the
+        // rows drives the squared-Euclidean machinery unchanged (Euclidean
+        // on unit vectors *is* the chord), and the produced centers come
+        // out normalized. Other metrics run on the rows as-is with their
+        // own kernels.
+        let (data, kernel) = if config.metric == Metric::Cosine {
+            let mut feats = data.features().to_vec();
+            l2_normalize_rows(&mut feats, data.n_features());
+            let normalized = Dataset::from_parts(
+                feats,
+                data.labels().to_vec(),
+                data.n_features(),
+                data.n_classes(),
+            );
+            (Cow::Owned(normalized), Metric::SqEuclidean)
+        } else {
+            (Cow::Borrowed(data), config.metric)
         };
-    }
-    // Nearest neighbour is heterogeneous: inspect the ρ-neighbourhood. When
-    // fewer than ρ rows remain the neighbourhood shrinks accordingly.
-    let effective = hood.len();
-    let h = hood.iter().filter(|&&n| data.label(n.row) != label).count();
-    if h == effective {
-        CenterVerdict::CandidateIsNoise
-    } else if h == 1 {
-        CenterVerdict::Accept {
-            noisy_neighbor: Some(nn.row),
+        Self {
+            index: config.backend.build_with(&data, kernel),
+            conflicts: BallConflictIndex::new_with(data.n_features(), kernel),
+            low_density: vec![false; data.n_samples()],
+            noise: Vec::new(),
+            data,
+            config: *config,
+            kernel,
         }
-    } else {
-        CenterVerdict::LowDensity
+    }
+
+    /// Takes the RD-GBG step on candidate `row` and applies it: tombstones,
+    /// the low-density mark, noise removals and the conflict push. `None`
+    /// when the row has already left `U` or sits in `L`.
+    ///
+    /// The step issues one density query (a ρ-sized k-NN; the nearest
+    /// neighbour under the noise ablation) and, for a vetted center, one
+    /// heterogeneous-nearest query, one conflict radius and one range
+    /// query.
+    fn decide(&mut self, row: usize) -> Option<Decision> {
+        if !self.index.is_alive(row) || self.low_density[row] {
+            return None;
+        }
+        let data: &Dataset = &self.data;
+        let (c, label) = (data.row(row), data.label(row));
+        let mut noisy_neighbor = None;
+
+        // Eq. 2. One ρ-sized k-NN query serves both the nearest-neighbour
+        // check and the neighbourhood vote: its first hit *is* the nearest
+        // neighbour under the shared tie-break.
+        let (stop, mut influence) = if self.config.detect_noise {
+            let rho = self.config.density_tolerance;
+            let hood = self.index.k_nearest_sq(c, rho, Some(row));
+            let stop = match hood.first() {
+                // No other undivided row: nothing to diffuse into.
+                None => Some(Verdict::LowDensity),
+                Some(nn) if data.label(nn.row) == label => None,
+                Some(nn) => {
+                    // When fewer than ρ rows remain the hood shrinks
+                    // accordingly.
+                    let h = hood.iter().filter(|n| data.label(n.row) != label).count();
+                    if h == hood.len() {
+                        Some(Verdict::CandidateNoise)
+                    } else if h == 1 {
+                        noisy_neighbor = Some(nn.row);
+                        None
+                    } else {
+                        Some(Verdict::LowDensity)
+                    }
+                }
+            };
+            // A hood that is not full would admit a row at any distance.
+            let influence = if hood.len() < rho {
+                f64::INFINITY
+            } else {
+                hood.last().map_or(f64::INFINITY, |n| n.sq_dist)
+            };
+            (stop, influence)
+        } else {
+            // Ablation: no removals — a heterogeneous nearest neighbour
+            // simply routes the candidate to `L`.
+            let nn = self.index.nearest_sq(c, Some(row));
+            let stop = match nn {
+                Some(nn) if data.label(nn.row) == label => None,
+                _ => Some(Verdict::LowDensity),
+            };
+            (stop, nn.map_or(f64::INFINITY, |n| n.sq_dist))
+        };
+
+        let verdict = if let Some(verdict) = stop {
+            verdict
+        } else {
+            if let Some(bad) = noisy_neighbor {
+                self.index.delete(bad);
+                self.noise.push(bad);
+            }
+            // Diffusion bound: the first heterogeneous sample (Eq. 3) and
+            // the conflict radius against every previous ball (Eq. 4; the
+            // ablation drops it and balls may overlap). Both bounds are
+            // known before members are collected, so ONE range query
+            // suffices for Eq. 5/6:
+            //
+            // * rconf ≥ d_het — the heterogeneous stop binds first; the
+            //   members are exactly {d < d_het} and r = cr = max of them
+            //   (cr ≤ rconf holds by construction).
+            // * rconf < d_het — the sets {d < d_het} clipped to cr ≤ rconf
+            //   and {d ≤ rconf} coincide: any d ≤ rconf is < d_het, and if
+            //   cr ≤ rconf then no member of {d < d_het} exceeds rconf.
+            //
+            // All backends evaluate the same expressions on the same
+            // floats, so the choice of bound stays backend-invariant.
+            let d_het = self
+                .index
+                .nearest_heterogeneous_sq(c, label, Some(row))
+                .map_or(f64::INFINITY, |h| h.sq_dist);
+            let rconf = if self.config.restrict_overlap {
+                self.conflicts.conflict_radius(c)
+            } else {
+                f64::INFINITY
+            };
+            // `plane_gap` converts the rank-space conflict radius into the
+            // kernel space the index answers in (square for L2/chord,
+            // identity for L1).
+            let rconf = self.kernel.plane_gap(rconf);
+            let (bound, bound_kind) = if rconf < d_het {
+                (rconf, RangeBound::Inclusive)
+            } else {
+                (d_het, RangeBound::Strict)
+            };
+            influence = if bound.is_finite() {
+                influence.max(bound)
+            } else {
+                f64::INFINITY
+            };
+            let hits = self.index.range_sq(c, bound, bound_kind, Some(row));
+            let r_k = hits.iter().fold(0.0f64, |m, h| m.max(h.sq_dist));
+            let r = self.kernel.rank_of(r_k);
+            if r > 0.0 {
+                let mut members: Vec<usize> = hits.iter().map(|h| h.row).collect();
+                members.push(row);
+                members.sort_unstable();
+                Verdict::Ball {
+                    ball: GranularBall {
+                        center: c.to_vec(),
+                        radius: r,
+                        label,
+                        members,
+                        center_row: Some(row),
+                        purity: 1.0,
+                    },
+                    conflict_bounded: bound_kind == RangeBound::Inclusive,
+                }
+            } else {
+                // The center sits on the edge of `U`: defer it to a later
+                // candidate or the orphan phase.
+                Verdict::LowDensity
+            }
+        };
+
+        match &verdict {
+            Verdict::Ball { ball, .. } => {
+                for &m in &ball.members {
+                    debug_assert!(self.index.is_alive(m));
+                    debug_assert_eq!(
+                        data.label(m),
+                        label,
+                        "restricted diffusion must yield pure balls"
+                    );
+                    self.index.delete(m);
+                }
+                if self.config.restrict_overlap {
+                    self.conflicts.push(c, ball.radius);
+                }
+            }
+            Verdict::LowDensity => self.low_density[row] = true,
+            Verdict::CandidateNoise => {
+                self.index.delete(row);
+                self.noise.push(row);
+            }
+        }
+        Some(Decision {
+            row,
+            verdict,
+            noisy_neighbor,
+            influence,
+        })
+    }
+
+    /// Orphan phase and model assembly: after the diffusion `balls`, every
+    /// row still undivided (all low-density) becomes its own radius-0
+    /// ball, honouring the completeness criterion.
+    fn finish(self, mut balls: Vec<GranularBall>, iterations: usize) -> RdGbgModel {
+        let diffused = balls.len();
+        for row in (0..self.data.n_samples()).filter(|&r| self.index.is_alive(r)) {
+            balls.push(GranularBall {
+                center: self.data.row(row).to_vec(),
+                radius: 0.0,
+                label: self.data.label(row),
+                members: vec![row],
+                center_row: Some(row),
+                purity: 1.0,
+            });
+        }
+        RdGbgModel {
+            orphan_count: balls.len() - diffused,
+            balls,
+            noise: self.noise,
+            iterations,
+            metric: self.config.metric,
+        }
     }
 }
 
@@ -304,40 +528,9 @@ pub fn rd_gbg_with_progress(
     mut progress: Option<ProgressSink<'_>>,
 ) -> RdGbgModel {
     let started = Instant::now();
-    assert!(
-        config.density_tolerance >= 2,
-        "density tolerance must be at least 2"
-    );
-    assert!(data.n_samples() > 0, "cannot granulate an empty dataset");
-
-    // Cosine granulates in chord geometry: an L2-normalized copy of the
-    // rows drives the squared-Euclidean machinery unchanged (Euclidean on
-    // unit vectors *is* the chord), and the produced centers come out
-    // normalized. Other metrics run on the rows as-is with their own
-    // kernels.
-    let normalized_data;
-    let (data, inner) = if config.metric == Metric::Cosine {
-        let mut feats = data.features().to_vec();
-        l2_normalize_rows(&mut feats, data.n_features());
-        normalized_data = Dataset::from_parts(
-            feats,
-            data.labels().to_vec(),
-            data.n_features(),
-            data.n_classes(),
-        );
-        (&normalized_data, Metric::SqEuclidean)
-    } else {
-        (data, config.metric)
-    };
-
+    let mut sweep = Sweep::new(data, config);
     let n = data.n_samples();
-    // `U` lives inside the index as its alive set; `L` stays separate
-    // (low-density rows remain in `U` and can still be absorbed by balls).
-    let mut index = config.backend.build_with(data, inner);
-    let mut low_density = vec![false; n];
     let mut balls: Vec<GranularBall> = Vec::new();
-    let mut conflicts = BallConflictIndex::new_with(data.n_features(), inner);
-    let mut noise: Vec<usize> = Vec::new();
     let mut rng = rng_from_seed(config.seed);
     let mut iterations = 0usize;
     let mut conflict_bounded = 0usize;
@@ -363,122 +556,28 @@ pub fn rd_gbg_with_progress(
         iterations += 1;
 
         for center_row in candidates {
-            // A ball built earlier in this iteration may have absorbed the
-            // candidate, or detection may have deleted it.
-            if !index.is_alive(center_row) || low_density[center_row] {
+            // `None`: a ball built earlier in this iteration absorbed the
+            // candidate, or detection deleted it.
+            let Some(decision) = sweep.decide(center_row) else {
                 continue;
-            }
-            let label = data.label(center_row);
-            let c = data.row(center_row);
-
-            let verdict = if config.detect_noise {
-                detect_center(
-                    data,
-                    index.as_ref(),
-                    center_row,
-                    label,
-                    config.density_tolerance,
-                )
-            } else {
-                // Ablation: no removals — a heterogeneous nearest neighbour
-                // simply routes the candidate to the low-density set.
-                match index.nearest_sq(c, Some(center_row)) {
-                    Some(nn) if data.label(nn.row) == label => CenterVerdict::Accept {
-                        noisy_neighbor: None,
-                    },
-                    _ => CenterVerdict::LowDensity,
-                }
             };
-            match verdict {
-                CenterVerdict::CandidateIsNoise => {
-                    index.delete(center_row);
-                    pools[label as usize].remove(center_row);
-                    noise.push(center_row);
-                    continue;
-                }
-                CenterVerdict::LowDensity => {
-                    low_density[center_row] = true;
-                    pools[label as usize].remove(center_row);
-                    continue;
-                }
-                CenterVerdict::Accept { noisy_neighbor } => {
-                    if let Some(bad) = noisy_neighbor {
-                        index.delete(bad);
-                        pools[data.label(bad) as usize].remove(bad);
-                        noise.push(bad);
+            // Every row that left `U` or joined `L` leaves `T`.
+            if let Some(bad) = decision.noisy_neighbor {
+                pools[data.label(bad) as usize].remove(bad);
+            }
+            let pool = &mut pools[data.label(center_row) as usize];
+            match decision.verdict {
+                Verdict::Ball {
+                    ball,
+                    conflict_bounded: bounded,
+                } => {
+                    for &m in &ball.members {
+                        pool.remove(m);
                     }
+                    conflict_bounded += usize::from(bounded);
+                    balls.push(ball);
                 }
-            }
-
-            // Diffusion bound: the first heterogeneous sample (Eq. 3) and
-            // the conflict radius against every previous ball (Eq. 4; the
-            // ablation drops it and balls may overlap). Both bounds are
-            // known before members are collected, so ONE range query
-            // suffices for Eq. 5/6:
-            //
-            // * rconf ≥ d_het — the heterogeneous stop binds first; the
-            //   members are exactly {d < d_het} and r = cr = max of them
-            //   (cr ≤ rconf holds by construction).
-            // * rconf < d_het — the sets {d < d_het} clipped to cr ≤ rconf
-            //   and {d ≤ rconf} coincide: any d ≤ rconf is < d_het, and if
-            //   cr ≤ rconf then no member of {d < d_het} exceeds rconf.
-            //
-            // All backends evaluate the same expressions on the same
-            // floats, so the choice of bound stays backend-invariant.
-            let d_het_sq = index
-                .nearest_heterogeneous_sq(c, label, Some(center_row))
-                .map_or(f64::INFINITY, |h| h.sq_dist);
-            let rconf = if config.restrict_overlap {
-                conflicts.conflict_radius(c)
-            } else {
-                f64::INFINITY
-            };
-            // `plane_gap` converts the rank-space conflict radius into the
-            // kernel space the index answers in (square for L2/chord,
-            // identity for L1).
-            let rconf_k = inner.plane_gap(rconf);
-            let (sq_bound, bound_kind) = if rconf_k < d_het_sq {
-                (rconf_k, RangeBound::Inclusive)
-            } else {
-                (d_het_sq, RangeBound::Strict)
-            };
-            let hits = index.range_sq(c, sq_bound, bound_kind, Some(center_row));
-            let r_sq = hits.iter().fold(0.0f64, |m, h| m.max(h.sq_dist));
-            let r = inner.rank_of(r_sq);
-
-            if r > 0.0 {
-                let mut members: Vec<usize> = hits.iter().map(|h| h.row).collect();
-                members.push(center_row);
-                members.sort_unstable();
-                for &m in &members {
-                    debug_assert!(index.is_alive(m));
-                    debug_assert_eq!(
-                        data.label(m),
-                        label,
-                        "restricted diffusion must yield pure balls"
-                    );
-                    index.delete(m);
-                    pools[label as usize].remove(m);
-                }
-                if config.restrict_overlap {
-                    conflicts.push(c, r);
-                }
-                if bound_kind == RangeBound::Inclusive {
-                    conflict_bounded += 1;
-                }
-                balls.push(GranularBall {
-                    center: c.to_vec(),
-                    radius: r,
-                    label,
-                    members,
-                    center_row: Some(center_row),
-                    purity: 1.0,
-                });
-            } else {
-                // Center sits on the edge of U; defer to a later iteration
-                // or the orphan phase.
-                low_density[center_row] = true;
-                pools[label as usize].remove(center_row);
+                Verdict::LowDensity | Verdict::CandidateNoise => pool.remove(center_row),
             }
         }
 
@@ -488,35 +587,14 @@ pub fn rd_gbg_with_progress(
                 iteration: u32::try_from(iterations).unwrap_or(u32::MAX),
                 balls: balls.len(),
                 conflicts: conflict_bounded,
-                noise: noise.len(),
+                noise: sweep.noise.len(),
                 remaining,
                 elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             });
         }
     }
 
-    // Orphan phase: every remaining undivided (all low-density) sample
-    // becomes its own radius-0 ball, honouring the completeness criterion.
-    let mut orphan_count = 0usize;
-    for row in (0..n).filter(|&r| index.is_alive(r)) {
-        balls.push(GranularBall {
-            center: data.row(row).to_vec(),
-            radius: 0.0,
-            label: data.label(row),
-            members: vec![row],
-            center_row: Some(row),
-            purity: 1.0,
-        });
-        orphan_count += 1;
-    }
-
-    RdGbgModel {
-        balls,
-        noise,
-        orphan_count,
-        iterations,
-        metric: config.metric,
-    }
+    sweep.finish(balls, iterations)
 }
 
 #[cfg(test)]
