@@ -205,6 +205,9 @@ struct Sweep<'a> {
 }
 
 impl<'a> Sweep<'a> {
+    /// Starts a run with every row undivided: indexes `data` in the
+    /// kernel space of `config.metric`, with no ball, mark or noise yet.
+    ///
     /// # Panics
     /// Panics if `density_tolerance < 2` (the rules `h == 1`, `1 < h < ρ`,
     /// `h == ρ` need ρ ≥ 2 to be distinguishable) or the dataset is empty.

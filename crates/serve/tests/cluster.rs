@@ -163,6 +163,40 @@ fn publish_replicates_to_every_shard_and_routing_follows_the_ring() {
 }
 
 #[test]
+fn deeply_nested_json_gets_a_400_from_the_router_and_it_keeps_routing() {
+    // 200 KB of `[`: the router parses the body to find the tenant, and a
+    // parser recursing once per level would overflow its worker's stack
+    // and abort the cluster's front door.
+    let (data, model) = fixture();
+    let expected = GbKnn::from_model(&model, data.n_classes(), 1).predict(&data);
+    let backend = boot_backend(&model, &["default"]);
+    let router = boot_router(&[&backend]);
+    let hostile = "[".repeat(200 * 1024);
+    let mut c = HttpClient::connect(router.addr(), Duration::from_secs(20)).unwrap();
+    let (status, body) = c.request("POST", "/predict", Some(&hostile)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    let v: Value = serde_json::from_str(&body).expect("400 body must be JSON");
+    assert_eq!(
+        v.get("code"),
+        Some(&Value::Str("bad_request".into())),
+        "{body}"
+    );
+
+    let mut c = HttpClient::connect(router.addr(), Duration::from_secs(20)).unwrap();
+    let (status, body) = c
+        .request(
+            "POST",
+            "/predict",
+            Some(&rows_json_named(&data, "default", &[3])),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(predictions_of(&body), vec![expected[3]]);
+    router.stop();
+    backend.stop();
+}
+
+#[test]
 fn request_id_propagates_through_the_hop() {
     let (_data, model) = fixture();
     let backend = boot_backend(&model, &["default"]);

@@ -217,6 +217,31 @@ fn malformed_and_mismatched_requests_get_4xx() {
 }
 
 #[test]
+fn deeply_nested_json_gets_a_400_and_the_server_keeps_serving() {
+    // 200 KB of `[`: a parser recursing once per level would overflow the
+    // worker's stack and abort the whole process.
+    let (handle, data, offline) = boot(ServeConfig::default());
+    let hostile = "[".repeat(200 * 1024);
+    let mut c = client(&handle);
+    let (status, body) = c.request("POST", "/predict", Some(&hostile)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    let v: Value = serde_json::from_str(&body).expect("400 body must be JSON");
+    assert_eq!(
+        v.get("code"),
+        Some(&Value::Str("bad_request".into())),
+        "{body}"
+    );
+
+    let mut c = client(&handle);
+    let (status, body) = c
+        .request("POST", "/predict", Some(&rows_json(&data, &[3])))
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(predictions_of(&body), vec![offline.predict(&data)[3]]);
+    handle.stop();
+}
+
+#[test]
 fn oversized_bodies_get_a_json_413_not_a_reset() {
     // 2 KiB body cap; /sample and /models uploads well past it. The
     // server must drain the in-flight body before erroring, so the client

@@ -3,8 +3,10 @@
 //! append sequence is **bit-identical, ball for ball and prediction for
 //! prediction**, to a from-scratch [`canonical_rd_gbg`] rebuild on the
 //! union dataset, under every exact neighbour backend (brute / kd-tree /
-//! vp-tree). CI runs this suite under both `GB_SIMD` legs, so the
-//! guarantee also holds across the SIMD and scalar distance kernels.
+//! vp-tree). Scenarios span p = 1..=8, so both the sequential sub-lane
+//! kernels (p < 4) and the fused lane tree (p ≥ 4) answer the sweep, and
+//! CI runs this suite under every `GB_SIMD` leg, so the guarantee also
+//! holds across the SIMD and scalar distance kernels.
 //!
 //! Append batches are drawn from the adversarial flavours the serving
 //! tier sees in practice: fresh in-distribution rows, exact duplicates of
@@ -168,7 +170,8 @@ struct Scenario {
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
     (
         8usize..48,
-        1usize..4,
+        // Sub-lane widths and the fused lane tree (p ≥ 4).
+        1usize..9,
         2u32..4,
         2usize..7,
         0u64..u64::MAX,
