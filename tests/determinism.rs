@@ -174,8 +174,8 @@ fn golden_datasets() -> [(&'static str, Dataset); 2] {
     ]
 }
 
-/// Every pinned configuration, as `(case name, model)`.
-fn golden_cases() -> Vec<(String, RdGbgModel)> {
+/// Every pinned configuration, as `(golden key, backend, model)`.
+fn golden_cases() -> Vec<(String, GranulationBackend, RdGbgModel)> {
     let mut cases = Vec::new();
     for (name, data) in golden_datasets() {
         let base = RdGbgConfig {
@@ -187,7 +187,8 @@ fn golden_cases() -> Vec<(String, RdGbgModel)> {
             for backend in GranulationBackend::CONCRETE {
                 let cfg = base.with_metric(metric).with_backend(backend);
                 cases.push((
-                    format!("{name}/rd_gbg/{metric}/{backend}"),
+                    format!("{name}/rd_gbg/{metric}"),
+                    backend,
                     rd_gbg(&data, &cfg),
                 ));
             }
@@ -196,18 +197,21 @@ fn golden_cases() -> Vec<(String, RdGbgModel)> {
             restrict_overlap: false,
             ..base
         };
-        cases.push((
-            format!("{name}/rd_gbg/no_restrict"),
-            rd_gbg(&data, &no_restrict),
-        ));
         let no_noise = RdGbgConfig {
             detect_noise: false,
             ..base
         };
-        cases.push((format!("{name}/rd_gbg/no_noise"), rd_gbg(&data, &no_noise)));
+        for (ablation, cfg) in [("no_restrict", no_restrict), ("no_noise", no_noise)] {
+            cases.push((
+                format!("{name}/rd_gbg/{ablation}"),
+                cfg.backend,
+                rd_gbg(&data, &cfg),
+            ));
+        }
         for backend in GranulationBackend::CONCRETE {
             cases.push((
-                format!("{name}/canonical/{backend}"),
+                format!("{name}/canonical"),
+                backend,
                 canonical_rd_gbg(&data, 5, backend),
             ));
         }
@@ -235,23 +239,13 @@ const GOLDEN: &[(&str, u64)] = &[
 #[test]
 fn rdgbg_output_matches_golden_fingerprints() {
     let mut mismatches = Vec::new();
-    for (case, model) in golden_cases() {
+    for (key, backend, model) in golden_cases() {
         let got = fingerprint(&model);
-        let key = case.rsplit_once('/').map_or(case.as_str(), |(head, tail)| {
-            if GranulationBackend::CONCRETE
-                .iter()
-                .any(|b| b.to_string() == tail)
-            {
-                head
-            } else {
-                case.as_str()
-            }
-        });
         match GOLDEN.iter().find(|(k, _)| *k == key) {
             Some(&(_, want)) if want == got => {}
-            Some(&(_, want)) => {
-                mismatches.push(format!("{case}: got {got:#018x}, pinned {want:#018x}"))
-            }
+            Some(&(_, want)) => mismatches.push(format!(
+                "{key} ({backend}): got {got:#018x}, pinned {want:#018x}"
+            )),
             None => mismatches.push(format!("(\"{key}\", {got:#018x}),")),
         }
     }
